@@ -18,11 +18,21 @@
 namespace iraw {
 namespace isa {
 
-/** One dynamic micro-operation. */
+/**
+ * One dynamic micro-operation.  The four 64-bit fields come first and
+ * the six byte-wide fields after them, so the record packs into 40
+ * bytes with no interior padding: it is the in-memory trace form
+ * (TraceBuffer holds one per micro-op) and the payload of every
+ * instruction-queue entry.
+ */
 struct MicroOp
 {
     uint64_t seqNum = 0;  //!< dynamic sequence number (1-based)
     uint64_t pc = 0;      //!< virtual program counter
+    /** Memory-op address (valid iff isMemOp(opClass)). */
+    uint64_t memAddr = 0;
+    /** Control-op target (valid iff isControlOp(opClass)). */
+    uint64_t target = 0;
 
     OpClass opClass = OpClass::Nop;
 
@@ -30,13 +40,8 @@ struct MicroOp
     RegId src1 = kInvalidReg; //!< first source (if any)
     RegId src2 = kInvalidReg; //!< second source (if any)
 
-    // Memory-op outcome (valid iff isMemOp(opClass)).
-    uint64_t memAddr = 0;
-    uint8_t memSize = 0; //!< access size in bytes (1/2/4/8)
-
-    // Control-op outcome (valid iff isControlOp(opClass)).
-    uint64_t target = 0;
-    bool taken = false;
+    uint8_t memSize = 0; //!< access size in bytes (1/2/4/8), mem ops
+    bool taken = false;  //!< control-op direction
 
     bool hasDst() const { return isValidReg(dst); }
     bool hasSrc1() const { return isValidReg(src1); }
@@ -59,6 +64,15 @@ struct MicroOp
     /** Structural validity (operand/outcome fields match the class). */
     bool wellFormed() const;
 };
+
+/*
+ * The store keeps every trace as decoded MicroOps.  A sharded
+ * sweep's fork parent holds the whole store, so each byte here is
+ * paid once per stored micro-op in its resident set: at the old
+ * 56-byte layout the sweep_sharded benchmark's peak RSS rose ~40%.
+ */
+static_assert(sizeof(MicroOp) <= 40,
+              "MicroOp grew past 40 bytes: reorder or shrink fields");
 
 /** Convenience factory: a pipeline-drain NOP (Sec. 4.2). */
 MicroOp makeNop(uint64_t seqNum, uint64_t pc);

@@ -38,8 +38,8 @@ FillBuffer::readyCycle(uint64_t lineAddr) const
 bool
 FillBuffer::full(Cycle cycle)
 {
-    // Retirement is lazy; drop completed fills first.  Callers that
-    // care about the retired lines use retire() directly.
+    // Retirement is lazy: a slot whose fill has arrived counts as
+    // free even before retire() clears it (allocate() reuses it).
     for (const auto &slot : _slots)
         if (!slot.valid || slot.ready <= cycle)
             return false;
@@ -47,23 +47,27 @@ FillBuffer::full(Cycle cycle)
 }
 
 void
-FillBuffer::allocate(uint64_t lineAddr, Cycle ready)
+FillBuffer::allocate(uint64_t lineAddr, Cycle ready, Cycle cycle)
 {
     panicIf(contains(lineAddr),
             "fill buffer %s: duplicate allocation for line 0x%llx",
             _name.c_str(),
             static_cast<unsigned long long>(lineAddr));
+    Entry *chosen = nullptr;
     for (auto &slot : _slots) {
         if (!slot.valid) {
-            slot.valid = true;
-            slot.lineAddr = lineAddr;
-            slot.ready = ready;
-            ++_allocations;
-            return;
+            chosen = &slot;
+            break;
         }
+        if (!chosen && slot.ready <= cycle)
+            chosen = &slot;
     }
-    panic("fill buffer %s: allocate() with no free entry",
-          _name.c_str());
+    panicIf(!chosen, "fill buffer %s: allocate() with no free entry",
+            _name.c_str());
+    chosen->valid = true;
+    chosen->lineAddr = lineAddr;
+    chosen->ready = ready;
+    ++_allocations;
 }
 
 Cycle
@@ -79,23 +83,17 @@ FillBuffer::earliestReady() const
     return earliest;
 }
 
-std::vector<std::pair<uint64_t, Cycle>>
+uint32_t
 FillBuffer::retire(Cycle cycle)
 {
-    std::vector<std::pair<uint64_t, Cycle>> done;
+    uint32_t retired = 0;
     for (auto &slot : _slots) {
         if (slot.valid && slot.ready <= cycle) {
-            done.emplace_back(slot.lineAddr, slot.ready);
             slot.valid = false;
+            ++retired;
         }
     }
-    // Install in completion order so cache/guard state evolves the
-    // way the real machine's fills would.
-    std::sort(done.begin(), done.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second < b.second;
-              });
-    return done;
+    return retired;
 }
 
 uint32_t

@@ -39,20 +39,23 @@ class FillBuffer
     bool full(Cycle cycle);
 
     /**
-     * Allocate an entry for @p lineAddr completing at @p ready.
-     * Caller must ensure !full() and !contains().
+     * Allocate an entry at cycle @p cycle for @p lineAddr completing
+     * at @p ready.  Takes an invalid slot if there is one, else a
+     * slot whose fill has arrived by @p cycle (free by the rule
+     * full() applies, though not yet retired).  Caller must ensure
+     * !full(cycle) and !contains().
      */
-    void allocate(uint64_t lineAddr, Cycle ready);
+    void allocate(uint64_t lineAddr, Cycle ready, Cycle cycle);
 
     /** Earliest completion among in-flight fills (stall target). */
     Cycle earliestReady() const;
 
     /**
-     * Release entries whose fills completed at or before @p cycle and
-     * return their line addresses (the hierarchy installs them into
-     * the cache and arms the IRAW guard at the fill cycle).
+     * Release entries whose fills completed at or before @p cycle;
+     * returns how many.  The hierarchy installs the lines themselves
+     * from its own pending-fill list.
      */
-    std::vector<std::pair<uint64_t, Cycle>> retire(Cycle cycle);
+    uint32_t retire(Cycle cycle);
 
     uint32_t occupancy() const;
     uint32_t entries() const { return _capacity; }

@@ -183,7 +183,10 @@ MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
             _wcb.push(v.lineAddr, fillReady);
     }
 
-    _fb.allocate(lineAddr, fillReady);
+    // Guard stalls may have pushed the allocation past the cycle the
+    // fills were last retired at; a fill that has arrived by then
+    // frees its slot (the line is installed from _pending).
+    _fb.allocate(lineAddr, fillReady, when);
     // The FB's heavy SRAM write is the line data arriving from the
     // next level; the allocation itself only sets a few state bits.
     // (Entries rotate through the whole small buffer, so variation

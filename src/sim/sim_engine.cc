@@ -159,7 +159,15 @@ SimEngine::stepPhase(uint64_t target, memory::Cycle stop)
             return false; // quantum exhausted
         return true;      // trace drained before the budget
     }
-    const adapt::AdaptConfig &acfg = *_cfg.adapt;
+    if (_pendingSwitch) {
+        // A switch drain that straddled the end of warm-up.
+        const adapt::Decision decision = *_pendingSwitch;
+        _pendingSwitch.reset();
+        drainAndSwitch(decision, target);
+        restartEpoch();
+        if (_pipe.currentCycle() >= stop)
+            return false;
+    }
     for (;;) {
         _pipe.runUntil(target, std::min(_nextEpoch, stop));
         if (_pipe.stats().committedInsts >= target)
@@ -188,67 +196,82 @@ SimEngine::stepPhase(uint64_t target, memory::Cycle stop)
                      "vcc_mV", static_cast<double>(_opVcc))});
             _epochWallUs = nowWallUs;
         }
-        adapt::Decision decision = _vctl->evaluate(telemetry);
+        const adapt::Decision decision = _vctl->evaluate(telemetry);
         if (decision.switchVcc &&
             _pipe.stats().committedInsts < _totalBudget) {
-            const uint64_t drainStartUs =
-                _tracer ? _tracer->nowUs() : 0;
-            const uint64_t drainedBefore = _res.adapt.drainCycles;
-            _res.adapt.drainCycles +=
-                _pipe.drainQuiesce(_totalBudget);
-            if (_tracer)
-                _tracer->complete(
-                    "adapt.drain", "adapt", drainStartUs,
-                    _tracer->nowUs() - drainStartUs,
-                    {obs::EventTracer::arg(
-                        "cycles", _res.adapt.drainCycles -
-                                      drainedBefore)});
-            if (_pipe.quiescedForSwitch() &&
-                _pipe.stats().committedInsts < _totalBudget) {
-                closeSegment();
-                const uint64_t settleStartUs =
-                    _tracer ? _tracer->nowUs() : 0;
-                _pipe.advanceIdleCycles(acfg.switchCycles);
-                if (_tracer) {
-                    _tracer->complete(
-                        "adapt.settle", "adapt", settleStartUs,
-                        _tracer->nowUs() - settleStartUs,
-                        {obs::EventTracer::arg("cycles",
-                                               acfg.switchCycles)});
-                    _tracer->instant(
-                        "adapt.switch", "adapt",
-                        {obs::EventTracer::arg(
-                             "from_mV",
-                             static_cast<double>(_opVcc)),
-                         obs::EventTracer::arg(
-                             "to_mV", static_cast<double>(
-                                          decision.target))});
-                }
-                _segSettle = acfg.switchCycles;
-                // Explore decisions carry the whole operating
-                // configuration: the IRAW mode re-derives the
-                // cycle time / N trade and the issue throttle
-                // narrows the slot loop (0 falls back to the
-                // run-level configuration).
-                _controller.setMode(decision.mode);
-                _pipe.setIssueThrottle(decision.issueThrottle != 0
-                                           ? decision.issueThrottle
-                                           : _cfg.issueThrottle);
-                applyOperatingPoint(decision.target);
-                _opVcc = decision.target;
-                ++_res.adapt.switches;
-                _res.adapt.settleCycles += acfg.switchCycles;
-                _res.adapt.minVcc =
-                    std::min(_res.adapt.minVcc, _opVcc);
-            }
+            drainAndSwitch(decision, target);
+            if (_pendingSwitch)
+                return true; // warm-up ended mid-drain
         }
-        _epochStartCycle = _pipe.currentCycle();
-        _epochStartInsts = _pipe.stats().committedInsts;
-        _epochStartIraw = irawStallsNow();
-        _nextEpoch = _pipe.currentCycle() + acfg.epochCycles;
+        restartEpoch();
         if (_pipe.currentCycle() >= stop)
             return false; // quantum exhausted at the boundary
     }
+}
+
+void
+SimEngine::drainAndSwitch(const adapt::Decision &decision,
+                          uint64_t target)
+{
+    const adapt::AdaptConfig &acfg = *_cfg.adapt;
+    const uint64_t drainStartUs = _tracer ? _tracer->nowUs() : 0;
+    const uint64_t drainedBefore = _res.adapt.drainCycles;
+    _res.adapt.drainCycles += _pipe.drainQuiesce(target);
+    if (_tracer)
+        _tracer->complete(
+            "adapt.drain", "adapt", drainStartUs,
+            _tracer->nowUs() - drainStartUs,
+            {obs::EventTracer::arg(
+                "cycles", _res.adapt.drainCycles - drainedBefore)});
+    if (!_pipe.quiescedForSwitch()) {
+        // The drain reached @p target first.  At the end of the run
+        // no switch follows; at the end of warm-up the controller
+        // has already moved to the new level, so the measured phase
+        // finishes this drain and applies the switch.
+        if (target < _totalBudget)
+            _pendingSwitch = decision;
+        return;
+    }
+    if (_pipe.stats().committedInsts >= _totalBudget)
+        return;
+    closeSegment();
+    const uint64_t settleStartUs = _tracer ? _tracer->nowUs() : 0;
+    _pipe.advanceIdleCycles(acfg.switchCycles);
+    if (_tracer) {
+        _tracer->complete(
+            "adapt.settle", "adapt", settleStartUs,
+            _tracer->nowUs() - settleStartUs,
+            {obs::EventTracer::arg("cycles", acfg.switchCycles)});
+        _tracer->instant(
+            "adapt.switch", "adapt",
+            {obs::EventTracer::arg("from_mV",
+                                   static_cast<double>(_opVcc)),
+             obs::EventTracer::arg(
+                 "to_mV", static_cast<double>(decision.target))});
+    }
+    _segSettle = acfg.switchCycles;
+    // Explore decisions carry the whole operating configuration: the
+    // IRAW mode re-derives the cycle time / N trade and the issue
+    // throttle narrows the slot loop (0 falls back to the run-level
+    // configuration).
+    _controller.setMode(decision.mode);
+    _pipe.setIssueThrottle(decision.issueThrottle != 0
+                               ? decision.issueThrottle
+                               : _cfg.issueThrottle);
+    applyOperatingPoint(decision.target);
+    _opVcc = decision.target;
+    ++_res.adapt.switches;
+    _res.adapt.settleCycles += acfg.switchCycles;
+    _res.adapt.minVcc = std::min(_res.adapt.minVcc, _opVcc);
+}
+
+void
+SimEngine::restartEpoch()
+{
+    _epochStartCycle = _pipe.currentCycle();
+    _epochStartInsts = _pipe.stats().committedInsts;
+    _epochStartIraw = irawStallsNow();
+    _nextEpoch = _pipe.currentCycle() + _cfg.adapt->epochCycles;
 }
 
 void

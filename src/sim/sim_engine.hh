@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "adapt/vcc_controller.hh"
 #include "core/pipeline.hh"
@@ -100,6 +101,13 @@ class SimEngine
      *  reached or trace drained), false when @p stop hit first. */
     bool stepPhase(uint64_t target, memory::Cycle stop);
     void endPhase();
+    /** Drain for @p decision without committing past @p target, then
+     *  switch; a drain cut short by the end of warm-up leaves the
+     *  switch in _pendingSwitch for the measured phase. */
+    void drainAndSwitch(const adapt::Decision &decision,
+                        uint64_t target);
+    /** Open the next controller epoch at the current cycle. */
+    void restartEpoch();
 
     const Simulator &_sim;
     SimConfig _cfg;
@@ -133,6 +141,7 @@ class SimEngine
     uint64_t _segStartInsts = 0;
     uint64_t _segSettle = 0;
     memory::Cycle _warmEndCycle = 0;
+    std::optional<adapt::Decision> _pendingSwitch;
 
     core::PipelineStats _warm;
     MemSnapshot _snap;

@@ -163,19 +163,26 @@ SyntheticTraceGenerator::buildStaticProgram()
     // Branch targets must not jump into the middle of a function body
     // (the walker would then run into a Return with an empty stack;
     // handled gracefully, but we keep control flow mostly sane by
-    // redirecting such targets to the slot after the Return).
+    // redirecting such targets to the slot after the Return).  A body
+    // ends at the first Return at or after its entry -- a later,
+    // overlapping function may have neutralized the one planted for
+    // it -- and the loop below changes no op class, so each end is
+    // found once, up front.
+    std::vector<uint32_t> bodyEnds;
+    bodyEnds.reserve(entries.size());
+    for (uint32_t entry : entries) {
+        uint32_t j = entry;
+        while (j < _slots.size() && _slots[j].cls != OpClass::Return)
+            ++j;
+        bodyEnds.push_back(j);
+    }
     for (auto &slot : _slots) {
         if (slot.cls != OpClass::Branch)
             continue;
-        for (uint32_t e = 0; e < entries.size(); ++e) {
-            uint32_t entry = entries[e];
-            // Find the Return terminating this body.
-            uint32_t j = entry;
-            while (j < _slots.size() &&
-                   _slots[j].cls != OpClass::Return)
-                ++j;
-            if (slot.takenTarget >= entry && slot.takenTarget <= j)
-                slot.takenTarget = (j + 1) % _slots.size();
+        for (size_t e = 0; e < entries.size(); ++e) {
+            if (slot.takenTarget >= entries[e] &&
+                slot.takenTarget <= bodyEnds[e])
+                slot.takenTarget = (bodyEnds[e] + 1) % _slots.size();
         }
     }
 }

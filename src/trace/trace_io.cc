@@ -1,12 +1,86 @@
 #include "trace/trace_io.hh"
 
+#include <cstddef>
 #include <cstring>
 
 #include "common/logging.hh"
-#include "trace/trace_record.hh"
 
 namespace iraw {
 namespace trace {
+
+namespace {
+
+// The packed record.  Only files hold packed records; the in-memory
+// trace store keeps decoded micro-ops.
+
+/** Bytes per packed record: seqNum/pc/memAddr/target + 6 small fields. */
+constexpr size_t kTraceRecordBytes = 4 * 8 + 6;
+
+void
+putLe32(uint8_t *buf, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        buf[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void
+putLe64(uint8_t *buf, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        buf[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+uint32_t
+getLe32(const uint8_t *buf)
+{
+    uint32_t v = 0;
+    for (int i = 3; i >= 0; --i)
+        v = (v << 8) | buf[i];
+    return v;
+}
+
+uint64_t
+getLe64(const uint8_t *buf)
+{
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | buf[i];
+    return v;
+}
+
+/** Serialize one micro-op into @p buf (kTraceRecordBytes bytes). */
+void
+packRecord(const isa::MicroOp &op, uint8_t *buf)
+{
+    putLe64(buf + 0, op.seqNum);
+    putLe64(buf + 8, op.pc);
+    putLe64(buf + 16, op.memAddr);
+    putLe64(buf + 24, op.target);
+    buf[32] = static_cast<uint8_t>(op.opClass);
+    buf[33] = op.dst;
+    buf[34] = op.src1;
+    buf[35] = op.src2;
+    buf[36] = op.memSize;
+    buf[37] = op.taken ? 1 : 0; // flags, bit 0: taken
+}
+
+/** Deserialize one micro-op from @p buf (kTraceRecordBytes bytes). */
+void
+unpackRecord(const uint8_t *buf, isa::MicroOp &op)
+{
+    op.seqNum = getLe64(buf + 0);
+    op.pc = getLe64(buf + 8);
+    op.memAddr = getLe64(buf + 16);
+    op.target = getLe64(buf + 24);
+    op.opClass = static_cast<isa::OpClass>(buf[32]);
+    op.dst = buf[33];
+    op.src1 = buf[34];
+    op.src2 = buf[35];
+    op.memSize = buf[36];
+    op.taken = (buf[37] & 1) != 0;
+}
+
+} // namespace
 
 TraceWriter::TraceWriter(const std::string &path)
     : _out(path, std::ios::binary), _path(path)
@@ -40,16 +114,6 @@ TraceWriter::append(const isa::MicroOp &op)
     packRecord(op, buf);
     _out.write(reinterpret_cast<const char *>(buf), sizeof(buf));
     ++_count;
-}
-
-void
-TraceWriter::appendPacked(const uint8_t *data, uint64_t records)
-{
-    panicIf(_closed, "TraceWriter: append after close");
-    _out.write(reinterpret_cast<const char *>(data),
-               static_cast<std::streamsize>(records *
-                                            kTraceRecordBytes));
-    _count += records;
 }
 
 void

@@ -6,7 +6,7 @@
  * convert them to this format and replay them through the simulator.
  * Layout: an 8-byte magic, a little-endian version word, a
  * little-endian record count, then fixed-width little-endian records
- * (see trace/trace_record.hh).  Every header and payload field is
+ * (packRecord() in trace_io.cc).  Every header and payload field is
  * packed explicitly so trace files are portable across hosts.
  */
 
@@ -45,13 +45,6 @@ class TraceWriter
 
     /** Append one record. */
     void append(const isa::MicroOp &op);
-
-    /**
-     * Append @p records pre-packed records (kTraceRecordBytes each,
-     * the same layout append() writes) byte-for-byte — the fast path
-     * for flushing an in-memory TraceBuffer.
-     */
-    void appendPacked(const uint8_t *data, uint64_t records);
 
     /** Finalize the header (record count) and close the file. */
     void close();

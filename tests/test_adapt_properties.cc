@@ -128,6 +128,42 @@ TEST_F(AdaptPropertyTest, SegmentsSumExactlyToRunTotals)
     }
 }
 
+TEST_F(AdaptPropertyTest, SwitchDrainStopsAtTheEndOfWarmup)
+{
+    // An explore switch drains across the end of warm-up on this
+    // trace.  The drain must stop committing at the warm-up count,
+    // take the snapshot there and apply the switch in the measured
+    // phase, so the measured window gets its whole budget.
+    SimConfig cfg;
+    cfg.workload = "spec2006fp";
+    cfg.seed = 4;
+    cfg.vcc = 550;
+    cfg.warmupInstructions = 40000;
+    cfg.instructions = 60000;
+    auto acfg = std::make_shared<AdaptConfig>();
+    acfg->policy = Policy::Explore;
+    acfg->epochCycles = 2000;
+    acfg->switchCycles = 500;
+    acfg->refTimePerInst = 4.0;
+    cfg.adapt = acfg;
+    SimResult res = _sim.run(cfg);
+    const adapt::AdaptInfo &a = res.adapt;
+
+    EXPECT_EQ(res.pipeline.committedInsts, 60000u);
+    EXPECT_EQ(a.totalInstructions, 100000u);
+    EXPECT_GT(a.switches, 0u);
+    uint64_t cycles = 0, insts = 0, settle = 0;
+    for (const adapt::AdaptSegment &seg : a.segments) {
+        cycles += seg.cycles;
+        insts += seg.instructions;
+        settle += seg.settleCycles;
+    }
+    EXPECT_EQ(cycles, a.totalCycles);
+    EXPECT_EQ(insts, a.totalInstructions);
+    EXPECT_EQ(settle, a.settleCycles);
+    EXPECT_EQ(a.settleCycles, a.switches * acfg->switchCycles);
+}
+
 TEST_F(AdaptPropertyTest, AppliedVccNeverDipsBelowTheFloor)
 {
     std::mt19937_64 rng(0xbeefu);

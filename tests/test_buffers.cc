@@ -13,55 +13,85 @@ TEST(FillBufferTest, AllocateTrackRetire)
 {
     FillBuffer fb("fb", 2);
     EXPECT_FALSE(fb.contains(0x100));
-    fb.allocate(0x100, 50);
+    fb.allocate(0x100, 50, 10);
     EXPECT_TRUE(fb.contains(0x100));
     EXPECT_EQ(fb.readyCycle(0x100), 50u);
     EXPECT_EQ(fb.occupancy(), 1u);
 
-    auto done = fb.retire(49);
-    EXPECT_TRUE(done.empty());
-    done = fb.retire(50);
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].first, 0x100u);
-    EXPECT_EQ(done[0].second, 50u);
+    EXPECT_EQ(fb.retire(49), 0u);
+    EXPECT_TRUE(fb.contains(0x100));
+    EXPECT_EQ(fb.retire(50), 1u);
+    EXPECT_EQ(fb.occupancy(), 0u);
     EXPECT_FALSE(fb.contains(0x100));
 }
 
 TEST(FillBufferTest, FullnessReflectsInFlightFills)
 {
     FillBuffer fb("fb", 2);
-    fb.allocate(0x100, 50);
-    fb.allocate(0x200, 60);
+    fb.allocate(0x100, 50, 10);
+    fb.allocate(0x200, 60, 10);
     EXPECT_TRUE(fb.full(40));
     EXPECT_FALSE(fb.full(50)) << "a completed fill frees a slot";
     EXPECT_EQ(fb.earliestReady(), 50u);
 }
 
-TEST(FillBufferTest, RetireOrderedByCompletion)
+TEST(FillBufferTest, RetireReleasesOnlyCompletedFills)
 {
     FillBuffer fb("fb", 4);
-    fb.allocate(0x300, 70);
-    fb.allocate(0x100, 50);
-    fb.allocate(0x200, 60);
-    auto done = fb.retire(100);
-    ASSERT_EQ(done.size(), 3u);
-    EXPECT_EQ(done[0].second, 50u);
-    EXPECT_EQ(done[1].second, 60u);
-    EXPECT_EQ(done[2].second, 70u);
+    fb.allocate(0x300, 70, 10);
+    fb.allocate(0x100, 50, 10);
+    fb.allocate(0x200, 60, 10);
+    EXPECT_EQ(fb.retire(60), 2u);
+    EXPECT_FALSE(fb.contains(0x100));
+    EXPECT_FALSE(fb.contains(0x200));
+    EXPECT_TRUE(fb.contains(0x300));
+    EXPECT_EQ(fb.occupancy(), 1u);
+    EXPECT_EQ(fb.retire(100), 1u);
+    EXPECT_EQ(fb.occupancy(), 0u);
+}
+
+TEST(FillBufferTest, AllocateReusesArrivedButUnretiredSlot)
+{
+    // full() counts a slot whose fill has arrived as free before
+    // retire() runs; allocate() at that cycle must agree and reuse
+    // it instead of panicking.
+    FillBuffer fb("fb", 2);
+    fb.allocate(0x100, 50, 10);
+    fb.allocate(0x200, 60, 10);
+    ASSERT_FALSE(fb.full(55));
+    fb.allocate(0x300, 90, 55);
+    EXPECT_FALSE(fb.contains(0x100)) << "the arrived fill's slot";
+    EXPECT_TRUE(fb.contains(0x200));
+    EXPECT_TRUE(fb.contains(0x300));
+    EXPECT_EQ(fb.readyCycle(0x300), 90u);
+    EXPECT_EQ(fb.occupancy(), 2u);
+    EXPECT_EQ(fb.allocations(), 3u);
+}
+
+TEST(FillBufferTest, AllocatePrefersInvalidSlot)
+{
+    FillBuffer fb("fb", 3);
+    fb.allocate(0x100, 50, 10);
+    fb.allocate(0x200, 60, 10);
+    // Slot 3 is invalid: the arrived fill of 0x100 stays tracked.
+    fb.allocate(0x300, 90, 55);
+    EXPECT_TRUE(fb.contains(0x100));
+    EXPECT_EQ(fb.occupancy(), 3u);
 }
 
 TEST(FillBufferTest, DuplicateAllocationPanics)
 {
     FillBuffer fb("fb", 2);
-    fb.allocate(0x100, 50);
-    EXPECT_THROW(fb.allocate(0x100, 60), PanicError);
+    fb.allocate(0x100, 50, 10);
+    EXPECT_THROW(fb.allocate(0x100, 60, 10), PanicError);
 }
 
 TEST(FillBufferTest, OverflowPanics)
 {
     FillBuffer fb("fb", 1);
-    fb.allocate(0x100, 50);
-    EXPECT_THROW(fb.allocate(0x200, 60), PanicError);
+    fb.allocate(0x100, 50, 10);
+    EXPECT_THROW(fb.allocate(0x200, 60, 49), PanicError)
+        << "the only fill has not arrived by cycle 49";
 }
 
 TEST(FillBufferTest, MergeCounter)

@@ -141,6 +141,25 @@ TEST(Simulation, BpAccuracyPositiveOnRealRuns)
     EXPECT_LE(r.bpAccuracy, 1.0);
 }
 
+TEST(Simulation, FillBufferReusesArrivedFillAfterGuardStalls)
+{
+    // TLB-miss penalties and guard stalls push a miss past the cycle
+    // the fill buffer was last retired at; a fill that has arrived by
+    // then frees its slot.  This run used to panic with "allocate()
+    // with no free entry".
+    Simulator s;
+    SimConfig cfg;
+    cfg.workload = "spec2006int";
+    cfg.seed = 12;
+    cfg.vcc = 525;
+    cfg.mode = mechanism::IrawMode::ForcedOff;
+    cfg.warmupInstructions = 40000;
+    cfg.instructions = 60000;
+    SimResult r = s.run(cfg);
+    EXPECT_EQ(r.pipeline.committedInsts, 60000u);
+    EXPECT_EQ(r.host.instructions, 100000u);
+}
+
 TEST(WorkloadSuite, DefaultCoversAllProfiles)
 {
     auto suite = defaultSuite(1000, 2);

@@ -12,6 +12,8 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,39 @@
 namespace iraw {
 namespace trace {
 namespace {
+
+/** Every field of two micro-ops agrees (all a trace file records). */
+bool
+sameOp(const isa::MicroOp &a, const isa::MicroOp &b)
+{
+    return a.seqNum == b.seqNum && a.pc == b.pc &&
+           a.memAddr == b.memAddr && a.target == b.target &&
+           a.opClass == b.opClass && a.dst == b.dst &&
+           a.src1 == b.src1 && a.src2 == b.src2 &&
+           a.memSize == b.memSize && a.taken == b.taken;
+}
+
+/** Two buffers hold the same micro-op stream, op for op. */
+::testing::AssertionResult
+sameStream(const TraceBuffer &a, const TraceBuffer &b)
+{
+    if (a.records() != b.records())
+        return ::testing::AssertionFailure()
+               << a.records() << " vs " << b.records() << " records";
+    for (uint64_t i = 0; i < a.records(); ++i)
+        if (!sameOp(a.ops()[i], b.ops()[i]))
+            return ::testing::AssertionFailure()
+                   << "record " << i << ": " << a.ops()[i].toString()
+                   << " vs " << b.ops()[i].toString();
+    return ::testing::AssertionSuccess();
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
 TEST(TraceBuffer, ReplayMatchesLiveGenerator)
 {
@@ -193,7 +228,7 @@ TEST(TraceStore, EvictedBufferStaysAliveForHolders)
     EXPECT_EQ(store.stats().evictions, 1u);
     // The store dropped its reference; ours still decodes.
     EXPECT_EQ(held->records(), 500u);
-    EXPECT_EQ(held->at(0).seqNum, 1u);
+    EXPECT_EQ(held->ops()[0].seqNum, 1u);
 }
 
 class TraceStoreDiskTest : public ::testing::Test
@@ -234,8 +269,39 @@ TEST_F(TraceStoreDiskTest, DiskCacheRoundTrip)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.diskHits, 1u);
 
-    ASSERT_EQ(cached->records(), fresh->records());
-    EXPECT_EQ(cached->data(), fresh->data());
+    EXPECT_TRUE(sameStream(*cached, *fresh));
+}
+
+TEST_F(TraceStoreDiskTest, PublishedFileMatchesWriterOutput)
+{
+    // The store packs records only when it publishes; the file must
+    // be exactly what TraceWriter writes from the live generator, so
+    // cache files stay interchangeable with dumped traces.
+    const WorkloadProfile &profile = profileByName("multimedia");
+    const uint64_t length = 3000;
+    TraceStore::Config cfg;
+    cfg.diskDir = _dir;
+    TraceStore(cfg).acquireSynthetic(profile, 5, length);
+
+    std::vector<std::filesystem::path> published;
+    for (const auto &entry : std::filesystem::directory_iterator(_dir))
+        published.push_back(entry.path());
+    ASSERT_EQ(published.size(), 1u);
+
+    const std::string reference = _dir + ".reference.trc";
+    {
+        TraceWriter writer(reference);
+        SyntheticTraceGenerator gen(profile, 5, length);
+        while (auto op = gen.next())
+            writer.append(*op);
+        writer.close();
+        EXPECT_EQ(writer.recordsWritten(), length);
+    }
+    const std::string expect = readFile(reference);
+    std::filesystem::remove(reference);
+    EXPECT_FALSE(expect.empty());
+    EXPECT_TRUE(readFile(published[0]) == expect)
+        << "published cache file differs from the TraceWriter output";
 }
 
 TEST_F(TraceStoreDiskTest, CorruptCacheFileDeletedAndRegenerated)
@@ -265,12 +331,12 @@ TEST_F(TraceStoreDiskTest, CorruptCacheFileDeletedAndRegenerated)
     TraceStore::Stats stats = store2.stats();
     EXPECT_EQ(stats.diskHits, 0u);
     EXPECT_EQ(stats.diskBadFiles, 1u);
-    EXPECT_EQ(regen->data(), fresh->data());
+    EXPECT_TRUE(sameStream(*regen, *fresh));
 
     // The republished file serves a third store from disk.
     TraceStore store3(cfg);
-    EXPECT_EQ(store3.acquireSynthetic(profile, 9, 4000)->data(),
-              fresh->data());
+    EXPECT_TRUE(
+        sameStream(*store3.acquireSynthetic(profile, 9, 4000), *fresh));
     EXPECT_EQ(store3.stats().diskHits, 1u);
     EXPECT_EQ(store3.stats().diskBadFiles, 0u);
 }
